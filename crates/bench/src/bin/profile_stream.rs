@@ -7,12 +7,11 @@
 //! $ cargo run --release -p varuna-bench --bin profile_stream -- --smoke # ~120k events
 //! ```
 //!
-//! Exits nonzero if either streamed report (single profiler, or sharded
-//! fan-out merged) diverges from the post-hoc profile by a single byte,
-//! if any stream counter flags a violation, if the bounded channels
-//! dropped an event, if resident state grew past a small fraction of the
-//! stream, or if incremental streaming fell more than a constant factor
-//! below the batch post-hoc pass — the gates CI holds with `--smoke`.
+//! Exits nonzero if the windowed report diverges from `profile()` by a
+//! single byte, if any stream counter flags a violation, if resident
+//! state grew past a small fraction of the stream, or if the windowed
+//! fold fell more than a constant factor below `profile()` — the gates
+//! CI holds with `--smoke`.
 
 use varuna_bench::profile_stream::{self, MAX_RESIDENT_RATIO, MAX_SLOWDOWN_VS_POSTHOC};
 use varuna_bench::util::{print_table, report_path};
@@ -33,17 +32,12 @@ fn main() {
             "-".to_string(),
         ],
         vec![
-            "streaming profiler".to_string(),
+            "windowed profiler".to_string(),
             format!("{:.3e}", b.stream_eps),
             format!("{:.1}x", b.slowdown_vs_null()),
         ],
         vec![
-            format!("sharded x{}", profile_stream::SHARDS),
-            format!("{:.3e}", b.sharded_eps),
-            format!("{:.1}x", b.null_eps / b.sharded_eps),
-        ],
-        vec![
-            "post-hoc profile()".to_string(),
+            "profile()".to_string(),
             format!("{:.3e}", b.posthoc_eps),
             format!("{:.1}x", b.null_eps / b.posthoc_eps),
         ],
@@ -59,19 +53,13 @@ fn main() {
         b.peak_resident, b.events, b.resident_ratio
     );
     println!(
-        "exactness: single {} | sharded {} | violations {} | dropped {}",
+        "exactness: windowed {} | violations {}",
         if b.stream_matches {
             "byte-identical"
         } else {
             "DIVERGED"
         },
-        if b.sharded_matches {
-            "byte-identical"
-        } else {
-            "DIVERGED"
-        },
-        b.violations,
-        b.dropped
+        b.violations
     );
 
     let path = report_path("profile_stream", smoke);
@@ -81,16 +69,12 @@ fn main() {
     println!("machine-readable report written to {path}");
 
     let mut failed = false;
-    if !b.stream_matches || !b.sharded_matches {
-        eprintln!("FAIL: streamed report diverged from post-hoc");
+    if !b.stream_matches {
+        eprintln!("FAIL: windowed report diverged from profile()");
         failed = true;
     }
     if b.violations > 0 {
         eprintln!("FAIL: {} stream-counter violation(s)", b.violations);
-        failed = true;
-    }
-    if b.dropped > 0 {
-        eprintln!("FAIL: sharded sink dropped {} event(s)", b.dropped);
         failed = true;
     }
     if b.resident_ratio > MAX_RESIDENT_RATIO {
@@ -102,7 +86,7 @@ fn main() {
     }
     if b.slowdown_vs_posthoc() > MAX_SLOWDOWN_VS_POSTHOC {
         eprintln!(
-            "FAIL: streaming {:.2}x slower than post-hoc (gate {MAX_SLOWDOWN_VS_POSTHOC}x)",
+            "FAIL: windowed fold {:.2}x slower than profile() (gate {MAX_SLOWDOWN_VS_POSTHOC}x)",
             b.slowdown_vs_posthoc()
         );
         failed = true;

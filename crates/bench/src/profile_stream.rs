@@ -3,27 +3,23 @@
 //!
 //! Builds a large time-ordered trace by tiling a dependency-consistent
 //! GPipe mini-batch (micro-batch indices offset per tile so op keys stay
-//! unique), then pushes it through four consumers:
+//! unique), then pushes it through three consumers:
 //!
 //! - a boxed [`NullSink`] (the floor: one dynamic dispatch per event),
-//! - one windowed [`StreamingProfiler`] (the tentpole path),
-//! - a [`ShardedSink`] fanning out to per-shard [`StreamSink`]s over
-//!   bounded channels, merged at the end,
-//! - the post-hoc `profile()` over the full vector (the reference).
+//! - one windowed [`StreamingProfiler`] (bounded resident state),
+//! - `profile()` over the full vector (the same fold with an unbounded
+//!   window: the reference).
 //!
-//! The gates CI holds (`--smoke` in the binary): both streamed reports
-//! byte-identical to post-hoc, zero stream-counter violations, zero
-//! channel overflow, resident state a small fraction of the stream, and
-//! streamed throughput within [`MAX_SLOWDOWN_VS_POSTHOC`] of the batch
-//! post-hoc pass (the like-for-like attribution baseline; the null sink
-//! is reported for context only).
+//! The gates CI holds (`--smoke` in the binary): the windowed report
+//! byte-identical to `profile()`, zero stream-counter violations,
+//! resident state a small fraction of the stream, and windowed
+//! throughput within [`MAX_SLOWDOWN_VS_POSTHOC`] of `profile()` (the
+//! like-for-like attribution baseline; the null sink is reported for
+//! context only).
 
 use std::time::Instant;
 
-use varuna_obs::{
-    merge_partials, profile, Event, EventKind, EventSink, NullSink, OverflowPolicy, ShardedSink,
-    StreamConfig, StreamSink, StreamingProfiler,
-};
+use varuna_obs::{profile, Event, EventKind, EventSink, NullSink, StreamConfig, StreamingProfiler};
 
 /// Pipeline depth of the tiled workload.
 pub const P: usize = 4;
@@ -31,15 +27,13 @@ pub const P: usize = 4;
 pub const D: usize = 4;
 /// Micro-batches per tile.
 pub const N_MICRO: usize = 32;
-/// Shards for the fan-out run.
-pub const SHARDS: usize = 4;
-/// Reorder window for the streaming runs, seconds. The trace is sorted
+/// Reorder window for the windowed run, seconds. The trace is sorted
 /// by event time and no interval lasts longer than ~1 s, so this window
 /// is exact while keeping pending state to a few tiles.
 pub const WINDOW_SECONDS: f64 = 5.0;
-/// Throughput gate: the streaming profiler does the same O(n)
-/// attribution work as the post-hoc `profile()`, so its incremental
-/// bookkeeping may cost at most this factor over the batch pass. (The
+/// Throughput gate: the windowed profiler does the same O(n)
+/// attribution work as `profile()`, so its window bookkeeping may cost
+/// at most this factor over the unbounded pass. (The
 /// null-sink floor is reported too, but a no-op virtual call measures
 /// dispatch, not attribution, so it is not a stable gate.)
 pub const MAX_SLOWDOWN_VS_POSTHOC: f64 = 4.0;
@@ -55,25 +49,19 @@ pub struct StreamBench {
     pub tiles: usize,
     /// Null-sink floor, events per second.
     pub null_eps: f64,
-    /// Single windowed streaming profiler, events per second (including
-    /// the final seal).
+    /// Windowed streaming profiler, events per second (including the
+    /// final seal).
     pub stream_eps: f64,
-    /// Sharded fan-out run, events per second (including flush + merge).
-    pub sharded_eps: f64,
-    /// Post-hoc `profile()` over the full vector, events per second.
+    /// `profile()` over the full vector, events per second.
     pub posthoc_eps: f64,
-    /// Peak resident entries of the single streaming run.
+    /// Peak resident entries of the windowed run.
     pub peak_resident: usize,
     /// `peak_resident / events`.
     pub resident_ratio: f64,
-    /// Stream-counter violations across the single and merged runs.
+    /// Stream-counter violations of the windowed run.
     pub violations: usize,
-    /// Events dropped by the sharded sink's bounded channels.
-    pub dropped: u64,
-    /// Whether the single streamed report equals post-hoc byte-for-byte.
+    /// Whether the windowed report equals `profile()` byte-for-byte.
     pub stream_matches: bool,
-    /// Whether the merged sharded report equals post-hoc byte-for-byte.
-    pub sharded_matches: bool,
 }
 
 impl StreamBench {
@@ -82,8 +70,8 @@ impl StreamBench {
         self.null_eps / self.stream_eps
     }
 
-    /// `posthoc_eps / stream_eps` — the cost of incremental bookkeeping
-    /// over the batch pass doing the same attribution.
+    /// `posthoc_eps / stream_eps` — the cost of the window bookkeeping
+    /// over the unbounded pass doing the same attribution.
     pub fn slowdown_vs_posthoc(&self) -> f64 {
         self.posthoc_eps / self.stream_eps
     }
@@ -91,9 +79,7 @@ impl StreamBench {
     /// Whether every gate holds.
     pub fn is_clean(&self) -> bool {
         self.stream_matches
-            && self.sharded_matches
             && self.violations == 0
-            && self.dropped == 0
             && self.resident_ratio <= MAX_RESIDENT_RATIO
             && self.slowdown_vs_posthoc() <= MAX_SLOWDOWN_VS_POSTHOC
     }
@@ -209,7 +195,7 @@ pub fn run(target_events: usize) -> StreamBench {
     let events = tiled_trace(tiles);
     let n = events.len();
 
-    // Reference: post-hoc over the full vector.
+    // Reference: the unbounded fold over the full vector.
     let t0 = Instant::now();
     let posthoc = profile(&events).to_json();
     let posthoc_eps = n as f64 / t0.elapsed().as_secs_f64();
@@ -224,53 +210,29 @@ pub fn run(target_events: usize) -> StreamBench {
     null.flush();
     let null_eps = n as f64 / t0.elapsed().as_secs_f64();
 
-    // Tentpole path: one windowed streaming profiler.
-    let cfg = StreamConfig::windowed(WINDOW_SECONDS, usize::MAX);
-    let mut prof = StreamingProfiler::new(cfg);
+    // One windowed streaming profiler.
+    let mut prof = StreamingProfiler::new(StreamConfig {
+        window_seconds: WINDOW_SECONDS,
+    });
     let t0 = Instant::now();
     for e in &events {
         prof.observe(e);
     }
     let partial = prof.into_partial();
-    let counters = partial.counters().clone();
+    let counters = *partial.counters();
     let streamed = partial.into_report().to_json();
     let stream_eps = n as f64 / t0.elapsed().as_secs_f64();
-
-    // Fan-out path: bounded channels, one streaming shard per worker.
-    let shard_sinks: Vec<StreamSink> = (0..SHARDS)
-        .map(|k| StreamSink::for_shard(k, SHARDS, cfg))
-        .collect();
-    let boxed: Vec<Box<dyn EventSink + Send>> = shard_sinks
-        .iter()
-        .map(|s| Box::new(s.clone()) as Box<dyn EventSink + Send>)
-        .collect();
-    let mut fan = ShardedSink::new(boxed, 8192, OverflowPolicy::Block);
-    let t0 = Instant::now();
-    for e in &events {
-        fan.record(e);
-    }
-    fan.flush();
-    let dropped = fan.dropped();
-    drop(fan);
-    let merged = merge_partials(shard_sinks.iter().map(|s| s.take_partial()).collect())
-        .expect("at least one shard");
-    let merged_violations = merged.counters().violations();
-    let sharded = merged.into_report().to_json();
-    let sharded_eps = n as f64 / t0.elapsed().as_secs_f64();
 
     StreamBench {
         events: n,
         tiles,
         null_eps,
         stream_eps,
-        sharded_eps,
         posthoc_eps,
         peak_resident: counters.peak_resident,
         resident_ratio: counters.peak_resident as f64 / n as f64,
-        violations: counters.violations() + merged_violations,
-        dropped,
+        violations: counters.violations(),
         stream_matches: streamed == posthoc,
-        sharded_matches: sharded == posthoc,
     }
 }
 
@@ -282,28 +244,21 @@ pub fn report(b: &StreamBench) -> varuna_obs::BenchReport {
         .param("d", D as f64)
         .param("n_micro_per_tile", N_MICRO as f64)
         .param("tiles", b.tiles as f64)
-        .param("shards", SHARDS as f64)
         .param("window_seconds", WINDOW_SECONDS)
         .param("max_slowdown_vs_posthoc", MAX_SLOWDOWN_VS_POSTHOC)
         .param("max_resident_ratio", MAX_RESIDENT_RATIO)
         .result("events", b.events as f64)
         .result("null_events_per_sec", b.null_eps)
         .result("stream_events_per_sec", b.stream_eps)
-        .result("sharded_events_per_sec", b.sharded_eps)
         .result("posthoc_events_per_sec", b.posthoc_eps)
         .result("slowdown_vs_null", b.slowdown_vs_null())
         .result("slowdown_vs_posthoc", b.slowdown_vs_posthoc())
         .result("peak_resident", b.peak_resident as f64)
         .result("resident_ratio", b.resident_ratio)
         .result("violations", b.violations as f64)
-        .result("dropped", b.dropped as f64)
         .result(
             "stream_matches_posthoc",
             if b.stream_matches { 1.0 } else { 0.0 },
-        )
-        .result(
-            "sharded_matches_posthoc",
-            if b.sharded_matches { 1.0 } else { 0.0 },
         )
 }
 
@@ -312,7 +267,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn smoke_run_is_exact_bounded_and_lossless() {
+    fn smoke_run_is_exact_and_bounded() {
         // Same size the CI smoke gate runs: resident state is set by the
         // window (not the stream length), so the ratio gate needs a
         // stream long enough to amortize it.
@@ -354,7 +309,7 @@ mod tests {
         let r = report(&b);
         assert!(r.is_current_schema());
         assert_eq!(r.summary["stream_matches_posthoc"], 1.0);
-        assert_eq!(r.summary["dropped"], 0.0);
+        assert_eq!(r.summary["violations"], 0.0);
         assert!(r.summary["stream_events_per_sec"] > 0.0);
     }
 }

@@ -4,8 +4,7 @@ use serde::{Deserialize, Serialize};
 use varuna::{Calibration, Manager, ManagerState, ManagerWal, WalRecord};
 use varuna_cluster::trace::ClusterTrace;
 use varuna_obs::{
-    profile, Event, EventBus, EventKind, ProfileReport, RingBufferSink, Source, StreamConfig,
-    StreamSink, VecSink,
+    profile, Event, EventBus, EventKind, ProfileReport, RingBufferSink, Source, VecSink,
 };
 
 use crate::config::{ChaosConfig, ChaosError};
@@ -146,10 +145,8 @@ pub fn run_chaos(
     let injector = ChaosInjector::new(cfg.clone())?;
     let sink = VecSink::new();
     let recorder = RingBufferSink::new(FLIGHT_RECORDER_EVENTS);
-    let live = StreamSink::new(StreamConfig::default());
     let mut bus = EventBus::with_sink(Box::new(sink.clone()));
     bus.add_sink(Box::new(recorder.clone()));
-    bus.add_sink(Box::new(live.clone()));
     let (trace, faults) = injector.perturb_observed(base, &mut bus);
     let mut mgr = build_manager(calib, cfg);
     mgr.replay_on_bus(&trace, &mut bus)
@@ -171,21 +168,6 @@ pub fn run_chaos(
                 w[1].t_sim, w[0].t_sim
             ));
         }
-    }
-
-    // The always-on streaming profiler must account for the faulted run
-    // exactly as the post-hoc profiler does: any byte of divergence or
-    // internal anomaly is itself an invariant violation.
-    let streamed = live.take_partial();
-    let stream_anomalies = streamed.counters().violations();
-    if stream_anomalies > 0 {
-        violations.push(format!(
-            "streaming profiler flagged {stream_anomalies} anomalie(s): {:?}",
-            streamed.counters()
-        ));
-    }
-    if streamed.into_report().to_json() != profile(&events).to_json() {
-        violations.push("streamed profile diverges from post-hoc".to_string());
     }
 
     let morphs = events

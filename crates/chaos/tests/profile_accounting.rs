@@ -11,7 +11,7 @@ use varuna_chaos::inject::ChaosInjector;
 use varuna_chaos::ChaosConfig;
 use varuna_cluster::trace::ClusterTrace;
 use varuna_models::ModelZoo;
-use varuna_obs::{profile, Event, EventBus, EventKind, Source, VecSink};
+use varuna_obs::{profile, Event, EventBus, EventKind, Source, StreamingProfiler, VecSink};
 
 /// Replays one chaos seed on the Figure-8 workload and returns the
 /// manager's (non-chaos-sourced) event stream.
@@ -43,12 +43,19 @@ fn replay_seed(seed: u64, zero_downtime: bool) -> Vec<Event> {
 
 const SEEDS: [u64; 8] = [0, 1, 2, 3, 4, 5, 6, 7];
 
-/// The shared per-seed check: every priced component re-derived
-/// independently from the raw stream must match the profiler term by
-/// term, and the components plus useful time must sum to the makespan.
+/// The shared per-seed check: the attribution fold flags no anomaly,
+/// every priced component re-derived independently from the raw stream
+/// must match the profiler term by term, and the components plus useful
+/// time must sum to the makespan.
 fn assert_components_sum(seed: u64, zero_downtime: bool) {
     let events = replay_seed(seed, zero_downtime);
     assert!(!events.is_empty(), "seed {seed}: replay emitted nothing");
+    let mut fold = StreamingProfiler::default();
+    for e in &events {
+        fold.observe(e);
+    }
+    let counters = *fold.counters();
+    assert_eq!(counters.violations(), 0, "seed {seed}: {counters:?}");
     let report = profile(&events);
     let dt = &report.downtime;
 

@@ -47,7 +47,7 @@ pub use varuna_sched::{op, policy};
 pub use background::{BackgroundLane, LaneCharge};
 pub use job::{PlacedJob, StageSpec};
 pub use metrics::Throughput;
-pub use observe::{SpanCollector, StreamingCapture};
+pub use observe::SpanCollector;
 pub use pipeline::{simulate_minibatch, simulate_minibatch_on_bus, MinibatchResult, SimOptions};
 pub use placement::Placement;
 pub use varuna_sched::{GreedyPolicy, OpKind, OpSpan, PolicyFactory, SchedulePolicy, StageView};

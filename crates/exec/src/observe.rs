@@ -10,10 +10,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use varuna_obs::{
-    Event, EventBus, EventKind, EventSink, PartialReport, ProfileReport, StreamConfig,
-    StreamCounters, StreamSink,
-};
+use varuna_obs::{Event, EventKind, EventSink};
 
 use varuna_sched::op::{Op, OpKind, OpSpan};
 
@@ -81,83 +78,6 @@ impl EventSink for SpanCollector {
     }
 }
 
-/// Live, bounded-memory profiler attachment for the emulator bus.
-///
-/// Where [`SpanCollector`] buffers every `OpEnd` for post-hoc analysis,
-/// `StreamingCapture` folds events into a
-/// [`varuna_obs::StreamingProfiler`] as they are emitted, keeping
-/// O(stages × replicas) resident state and producing the *same report,
-/// byte for byte*, that `varuna_obs::profile` would compute from the
-/// full event vector. Attach it to the bus the emulator runs on, then
-/// pull a live snapshot at any point or seal it at the end:
-///
-/// ```
-/// use varuna_obs::EventBus;
-/// use varuna_exec::observe::StreamingCapture;
-///
-/// let capture = StreamingCapture::new();
-/// let mut bus = EventBus::new();
-/// capture.attach(&mut bus);
-/// // ... run simulate_minibatch_on_bus(job, policies, opts, &mut bus) ...
-/// let report = capture.finish();
-/// # let _ = (bus, report);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct StreamingCapture {
-    sink: StreamSink,
-}
-
-impl StreamingCapture {
-    /// A capture with an unbounded reorder window (exact on any event
-    /// order the bus can produce).
-    pub fn new() -> Self {
-        StreamingCapture::default()
-    }
-
-    /// A capture with an explicit streaming configuration (finite
-    /// window, pending cap).
-    pub fn with_config(cfg: StreamConfig) -> Self {
-        StreamingCapture {
-            sink: StreamSink::new(cfg),
-        }
-    }
-
-    /// Registers a clone of the underlying sink on `bus`; the capture
-    /// keeps its handle, so state accumulated by the bus is visible
-    /// through `self`.
-    pub fn attach(&self, bus: &mut EventBus) {
-        bus.add_sink(Box::new(self.sink.clone()));
-    }
-
-    /// Events held in the reorder/inflight buffers plus per-lane folds —
-    /// the bounded resident state, not the stream length.
-    pub fn resident(&self) -> usize {
-        self.sink.resident()
-    }
-
-    /// Overflow / anomaly accounting for the stream so far.
-    pub fn counters(&self) -> StreamCounters {
-        *self.sink.snapshot().counters()
-    }
-
-    /// A live report over everything observed so far. Exact for the
-    /// current prefix of the stream; cheap enough to call per step.
-    pub fn report(&self) -> ProfileReport {
-        self.sink.snapshot().into_report()
-    }
-
-    /// Drains the capture into a mergeable [`PartialReport`] shard
-    /// (resets the capture to empty).
-    pub fn take_partial(&self) -> PartialReport {
-        self.sink.take_partial()
-    }
-
-    /// Seals the capture into its final report.
-    pub fn finish(self) -> ProfileReport {
-        self.sink.take_partial().into_report()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,13 +126,13 @@ mod tests {
     }
 
     #[test]
-    fn streaming_capture_matches_posthoc_profile_on_a_real_minibatch() {
+    fn a_live_stream_sink_matches_the_profile_of_the_tape_on_a_real_minibatch() {
         use crate::job::PlacedJob;
         use crate::pipeline::{simulate_minibatch_on_bus, SimOptions};
         use crate::placement::Placement;
         use varuna_models::{CutpointGraph, GpuModel, ModelZoo};
         use varuna_net::Topology;
-        use varuna_obs::{profile, VecSink};
+        use varuna_obs::{profile, StreamConfig, StreamSink, VecSink};
         use varuna_sched::policy::{GreedyPolicy, SchedulePolicy};
 
         let (p, d, n_micro) = (3, 2, 4);
@@ -230,24 +150,25 @@ mod tests {
         let greedy = |_: usize, _: usize| -> Box<dyn SchedulePolicy> { Box::new(GreedyPolicy) };
 
         let tape = VecSink::new();
-        let capture = StreamingCapture::new();
+        let live = StreamSink::new(StreamConfig::default());
         let mut bus = EventBus::with_sink(Box::new(tape.clone()));
-        capture.attach(&mut bus);
+        bus.add_sink(Box::new(live.clone()));
         simulate_minibatch_on_bus(&job, &greedy, &SimOptions::default(), &mut bus)
             .expect("minibatch simulates");
 
         let events = tape.take();
         assert!(!events.is_empty(), "emulator must emit events");
-        let counters = capture.counters();
+        let partial = live.take_partial();
+        let counters = *partial.counters();
         assert_eq!(
             counters.violations(),
             0,
             "live emulator stream must profile cleanly: {counters:?}"
         );
         assert_eq!(
-            capture.finish().to_json(),
+            partial.into_report().to_json(),
             profile(&events).to_json(),
-            "streamed report must equal post-hoc byte-for-byte"
+            "live report must equal profile() of the tape byte-for-byte"
         );
     }
 }

@@ -261,10 +261,8 @@ impl Follow {
 /// profiler. Only complete lines are consumed — a partially written
 /// trailing line stays buffered until its newline arrives.
 fn run_follow(opts: &Opts) -> ExitCode {
-    let cfg = if opts.window.is_finite() {
-        StreamConfig::windowed(opts.window, usize::MAX)
-    } else {
-        StreamConfig::default()
+    let cfg = StreamConfig {
+        window_seconds: opts.window,
     };
     let mut follow = Follow {
         profiler: StreamingProfiler::new(cfg),

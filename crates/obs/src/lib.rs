@@ -21,10 +21,12 @@
 //! fixed-bucket histograms, snapshot-able to one JSON document), a
 //! `chrome://tracing` exporter ([`chrome_trace_json`]) whose output loads
 //! directly in Perfetto, the [`BenchReport`] schema the bench binaries
-//! emit as `BENCH_*.json`, and the post-hoc time-attribution profiler
-//! ([`profile()`]) that decomposes any captured stream into compute,
-//! communication, bubble, and downtime — with a critical-path pass that
-//! names the bottleneck stage (`varuna-profile` is its CLI front-end).
+//! emit as `BENCH_*.json`, and the time-attribution profiler that
+//! decomposes a stream into compute, communication, bubble, and downtime,
+//! with a critical path that names the bottleneck stage. Attribution is
+//! one fold, [`StreamingProfiler`]: [`profile()`] runs it over a whole
+//! capture, a [`StreamSink`] runs it live on a bus, and `varuna-profile`
+//! (its CLI front-end) runs it over a file or a growing capture.
 
 pub mod attrib;
 pub mod bus;
@@ -32,14 +34,13 @@ pub mod chrome_trace;
 pub mod event;
 pub mod metrics;
 pub mod profile;
+#[cfg(test)]
+mod reference;
 pub mod report;
 pub mod stream;
 
-pub use attrib::{critical_path, downtime, CriticalPath, DowntimeProfile};
-pub use bus::{
-    allreduce_owner, shard_route, EventBus, EventSink, JsonlSink, NullSink, OverflowPolicy,
-    RingBufferSink, ShardRoute, ShardedSink, VecSink,
-};
+pub use attrib::{downtime, CriticalPath, DowntimeProfile};
+pub use bus::{EventBus, EventSink, JsonlSink, NullSink, RingBufferSink, VecSink};
 pub use chrome_trace::{chrome_trace_json, events_from_chrome_trace};
 pub use event::{Event, EventKind, Source};
 pub use metrics::{Histogram, MetricsRegistry};
@@ -49,6 +50,5 @@ pub use profile::{
 };
 pub use report::{BenchReport, REPORT_SCHEMA};
 pub use stream::{
-    merge_partials, spawn_http, PartialReport, StreamConfig, StreamCounters, StreamSink,
-    StreamingProfiler,
+    spawn_http, PartialReport, StreamConfig, StreamCounters, StreamSink, StreamingProfiler,
 };

@@ -1,4 +1,5 @@
-//! Post-hoc time attribution over an [`Event`] stream.
+//! Time attribution over an [`Event`] stream: the report types and the
+//! [`profile`] entry point.
 //!
 //! [`profile`] consumes any capture of the event bus — an in-memory
 //! [`VecSink`](crate::VecSink) buffer, a JSONL file, or an imported
@@ -18,16 +19,19 @@
 //! The components of every lane sum to the stream's makespan exactly (one
 //! cursor sweep over the sorted busy intervals; overlaps are clipped), so
 //! nothing is lost or double-counted — the property the proptest suite
-//! pins. On top of the lanes sit a critical-path pass that names the
-//! bottleneck stage, per-stage straggler scores (max/mean busy over
-//! replicas), and — for manager / spot-trace streams — downtime
+//! pins. The attribution itself is one fold, [`StreamingProfiler`] (see
+//! [`crate::stream`]); `profile` runs it over a whole capture with an
+//! unbounded reorder window. On top of the lanes sit the critical path
+//! that names the bottleneck stage, per-stage straggler scores (max/mean
+//! busy over replicas), and — for manager / spot-trace streams — downtime
 //! accounting that prices morph restarts, checkpoint writes, degraded
 //! pauses, and lost work (see [`crate::attrib`]).
 
 use serde::{Deserialize, Serialize};
 
-use crate::attrib::{self, CriticalPath, DowntimeProfile};
+use crate::attrib::{CriticalPath, DowntimeProfile};
 use crate::event::{Event, EventKind};
+use crate::stream::StreamingProfiler;
 
 /// Schema tag stamped into every [`ProfileReport`].
 pub const PROFILE_SCHEMA: &str = "varuna-profile/v1";
@@ -315,16 +319,12 @@ pub(crate) enum BusyKind {
 }
 
 /// Incremental cursor sweep over one lane's busy intervals — the single
-/// implementation of the lane decomposition, shared by the post-hoc
-/// [`profile`] and the streaming profiler so both produce byte-identical
-/// `f64`s.
+/// implementation of the lane decomposition.
 ///
-/// Intervals must be pushed in `(start, end)` order (the post-hoc path
-/// sorts first; the streaming path drains its pending buffer in key
-/// order). The post-hoc path clips each interval to the (already-known)
-/// makespan; the streaming path passes `f64::INFINITY` — exact all the
-/// same, because every interval's end is itself a makespan candidate, so
-/// `end.min(makespan) == end` whenever the interval is well-formed.
+/// Intervals must be pushed in `(start, end)` order; the streaming
+/// profiler drains its pending buffer in that key order. No interval is
+/// clipped to the makespan: every interval's end is itself a makespan
+/// candidate, so `end <= makespan` whenever the interval is well-formed.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct LaneFold {
     /// Seconds attributed to forward ops so far.
@@ -345,9 +345,6 @@ pub(crate) struct LaneFold {
     pub cursor: f64,
     /// True until the first interval is pushed (gap → warmup).
     pub first: bool,
-    /// Intervals pushed (used by the streaming merge to pick between
-    /// redundant synthetic-lane copies).
-    pub pushes: usize,
 }
 
 impl Default for LaneFold {
@@ -362,16 +359,14 @@ impl Default for LaneFold {
             stall: 0.0,
             cursor: 0.0,
             first: true,
-            pushes: 0,
         }
     }
 }
 
 impl LaneFold {
-    /// Folds the next busy interval (in sorted order), clipping its end
-    /// to `clip` and its start to the cursor so overlaps never
-    /// double-count.
-    pub fn push_clipped(&mut self, start: f64, end: f64, kind: BusyKind, clip: f64) {
+    /// Folds the next busy interval (in sorted order), clipping its start
+    /// to the cursor so overlaps never double-count.
+    pub fn push(&mut self, start: f64, end: f64, kind: BusyKind) {
         let gap = start - self.cursor;
         if gap > 0.0 {
             if self.first {
@@ -382,7 +377,7 @@ impl LaneFold {
             self.cursor = start;
         }
         self.first = false;
-        let contrib = end.min(clip) - start.max(self.cursor);
+        let contrib = end - start.max(self.cursor);
         if contrib > 0.0 {
             match kind {
                 BusyKind::Forward => self.forward += contrib,
@@ -392,8 +387,7 @@ impl LaneFold {
                 BusyKind::Allreduce => self.allreduce += contrib,
             }
         }
-        self.cursor = self.cursor.max(end.min(clip));
-        self.pushes += 1;
+        self.cursor = self.cursor.max(end);
     }
 
     /// Closes the sweep at `makespan`: everything after the cursor is
@@ -416,9 +410,8 @@ impl LaneFold {
 }
 
 /// Assembles finished lanes into a [`ProfileReport`]: per-stage
-/// aggregation, straggler scores, and the bubble fraction. One
-/// implementation shared by [`profile`] and the streaming finish so the
-/// aggregation sums run in the same (lane-sorted) order on both paths.
+/// aggregation, straggler scores, and the bubble fraction, summed in
+/// lane-sorted order.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn assemble_report(
     events: usize,
@@ -488,146 +481,21 @@ pub(crate) fn assemble_report(
     }
 }
 
-#[derive(Clone, Copy)]
-struct BusyInterval {
-    start: f64,
-    end: f64,
-    kind: BusyKind,
-}
-
-/// Profiles an event stream into a [`ProfileReport`].
+/// Profiles an event stream into a [`ProfileReport`]: one unbounded
+/// [`StreamingProfiler`] fold over the events, sealed at the end.
 ///
-/// The stream may come from any sink — the report is a pure function of
-/// the event *contents*, not their order (intervals are re-sorted per
-/// lane), so a `VecSink` capture and its JSONL round trip profile
-/// identically.
+/// The report is a pure function of the event *contents*: the unbounded
+/// reorder window sorts every lane's intervals before folding them, so a
+/// `VecSink` capture and its JSONL round trip profile identically.
+/// Malformed intervals (non-finite bounds, negative starts) are skipped or
+/// clamped and counted in [`StreamCounters`](crate::StreamCounters), never
+/// attributed silently.
 pub fn profile(events: &[Event]) -> ProfileReport {
-    use std::collections::BTreeMap;
-
-    // Makespan: the latest instant any event touches.
-    let mut makespan: f64 = 0.0;
+    let mut fold = StreamingProfiler::default();
     for e in events {
-        let end = match &e.kind {
-            EventKind::SendBusy { seconds, .. } => e.t_sim + seconds,
-            EventKind::Transfer { seconds, .. } => e.t_sim + seconds,
-            _ => e.t_sim,
-        };
-        if end.is_finite() {
-            makespan = makespan.max(end);
-        }
+        fold.observe(e);
     }
-
-    // Per-lane busy intervals.
-    let mut lanes_map: BTreeMap<(usize, usize), Vec<BusyInterval>> = BTreeMap::new();
-    let mut lane_ops: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-    let mut pipeline_end: f64 = 0.0;
-    let mut transfer_seconds = 0.0;
-    let mut transfer_out: BTreeMap<usize, f64> = BTreeMap::new();
-    // Allreduces are per-stage events (no replica): remember them and
-    // attach to every lane of the stage once all lanes are known.
-    let mut allreduces: Vec<(usize, f64, f64)> = Vec::new();
-
-    for e in events {
-        match &e.kind {
-            EventKind::OpEnd {
-                stage,
-                replica,
-                op,
-                start,
-                ..
-            } => {
-                let kind = match op {
-                    'F' => BusyKind::Forward,
-                    'R' => BusyKind::Recompute,
-                    _ => BusyKind::Backward,
-                };
-                lanes_map
-                    .entry((*stage, *replica))
-                    .or_default()
-                    .push(BusyInterval {
-                        start: start.max(0.0),
-                        end: e.t_sim,
-                        kind,
-                    });
-                *lane_ops.entry((*stage, *replica)).or_default() += 1;
-                pipeline_end = pipeline_end.max(e.t_sim);
-            }
-            EventKind::SendBusy {
-                stage,
-                replica,
-                seconds,
-                ..
-            } => {
-                lanes_map
-                    .entry((*stage, *replica))
-                    .or_default()
-                    .push(BusyInterval {
-                        start: e.t_sim.max(0.0),
-                        end: e.t_sim + seconds,
-                        kind: BusyKind::Send,
-                    });
-            }
-            EventKind::Allreduce { stage, seconds, .. } => {
-                allreduces.push((*stage, (e.t_sim - seconds).max(0.0), e.t_sim));
-            }
-            EventKind::Transfer {
-                from_stage,
-                seconds,
-                ..
-            } => {
-                transfer_seconds += seconds;
-                *transfer_out.entry(*from_stage).or_default() += seconds;
-            }
-            _ => {}
-        }
-    }
-
-    // Attach each stage's allreduce to every lane of that stage (all
-    // replicas participate simultaneously); a stage with no op lanes at
-    // all gets a synthetic replica-0 lane so the time is still visible.
-    for (stage, start, end) in allreduces {
-        let lane_keys: Vec<(usize, usize)> = lanes_map
-            .range((stage, 0)..(stage + 1, 0))
-            .map(|(k, _)| *k)
-            .collect();
-        let targets = if lane_keys.is_empty() {
-            vec![(stage, 0)]
-        } else {
-            lane_keys
-        };
-        for key in targets {
-            lanes_map.entry(key).or_default().push(BusyInterval {
-                start,
-                end,
-                kind: BusyKind::Allreduce,
-            });
-        }
-    }
-
-    // Decompose each lane over [0, makespan]: one cursor sweep over the
-    // sorted intervals, clipping overlaps, classifying gaps.
-    let mut lanes: Vec<LaneProfile> = Vec::with_capacity(lanes_map.len());
-    for ((stage, replica), mut intervals) in lanes_map {
-        intervals.sort_by(|a, b| a.start.total_cmp(&b.start).then(a.end.total_cmp(&b.end)));
-        let mut fold = LaneFold::default();
-        for iv in intervals {
-            fold.push_clipped(iv.start, iv.end, iv.kind, makespan);
-        }
-        let ops = lane_ops.get(&(stage, replica)).copied().unwrap_or(0);
-        lanes.push(fold.finish(stage, replica, ops, makespan));
-    }
-
-    let op_spans = spans(events);
-    assemble_report(
-        events.len(),
-        makespan,
-        pipeline_end,
-        lanes,
-        transfer_seconds,
-        &transfer_out,
-        attrib::critical_path(&op_spans),
-        attrib::downtime(events, makespan),
-    )
+    fold.into_partial().into_report()
 }
 
 /// Parses a JSONL capture (one `Event` per line, as written by

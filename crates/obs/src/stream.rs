@@ -1,44 +1,41 @@
-//! Streaming (incremental, bounded-memory) time attribution.
+//! The attribution engine: one incremental fold over an event stream.
 //!
-//! The post-hoc [`profile`](crate::profile()) pass needs every event in
-//! memory before it can attribute anything. A week-long fleet sweep at
-//! emulator speeds emits tens of millions of events — this module is the
-//! third consumption mode (after post-hoc capture and the chaos flight
-//! recorder): a [`StreamingProfiler`] that folds events as they arrive,
-//! holding `O(stages × replicas)` lane state plus a bounded reorder
-//! window instead of `O(events)`, and a mergeable [`PartialReport`] so
-//! per-shard streams folded in *any* grouping reproduce the post-hoc
-//! [`ProfileReport`] **byte-for-byte**.
+//! A [`StreamingProfiler`] folds events as they arrive, holding
+//! `O(stages × replicas)` lane state plus a reorder window of pending
+//! intervals instead of `O(events)`, and its [`PartialReport`] closes that
+//! state into a [`ProfileReport`] at any point. [`profile`](crate::profile())
+//! is this fold over a whole capture with an unbounded window; a
+//! [`StreamSink`] runs it live on a bus, and `varuna-profile --follow`
+//! runs it over a growing capture.
 //!
-//! # Why byte-identity is possible at all
+//! # Why a finite window is exact
 //!
-//! Three observations carry the whole design:
+//! Three observations carry the design:
 //!
-//! 1. **Makespan clipping is a no-op on well-formed streams.** The
-//!    post-hoc lane sweep clips every busy interval to the (globally
-//!    known) makespan — but every interval's end is itself a makespan
-//!    candidate, so `end.min(makespan) == end` bit-for-bit. The
-//!    streaming fold therefore clips to `f64::INFINITY` and never needs
-//!    the makespan until `finish`, after all shards merged.
-//! 2. **Every critical-path dependency is replica-local.** An op's
-//!    candidate predecessors are the previous op on its own `(stage,
-//!    replica)` lane, the same-micro forward one stage upstream (same
-//!    replica), and the same-micro backward one stage downstream (same
-//!    replica). Sharding by replica keeps the whole dependency walk
-//!    shard-local.
-//! 3. **Order-sensitive `f64` sums route to one shard.** Control-plane
-//!    events and transfers accumulate on shard 0 in arrival order (see
-//!    [`shard_route`](crate::shard_route)); merging adds exact zeros
-//!    from every other shard, and `x + 0.0 == x` bytewise for the
-//!    non-negative sums involved.
+//! 1. **Lanes fold in sorted order.** Pending intervals fold in `(start,
+//!    end)` key order once their start falls a window behind the stream's
+//!    high-water mark. On a time-ordered stream whose intervals are
+//!    shorter than the window, that is the order an unbounded window
+//!    (which folds everything at seal time) would use.
+//! 2. **No makespan clipping.** Every interval's end is itself a makespan
+//!    candidate, so no well-formed interval reaches past the makespan and
+//!    the fold never needs it until the report is closed.
+//! 3. **The critical path folds forward.** An op's candidate predecessors
+//!    (the previous op on its own `(stage, replica)` lane, the same-micro
+//!    forward one stage upstream, the same-micro backward one stage
+//!    downstream) end before it starts, so they fold before it does. Each
+//!    op extends its binding predecessor's chain summary; the chain of
+//!    the last op to finish is the critical path.
 //!
 //! Everything the stream cannot prove incrementally is *counted, never
-//! silent*: late arrivals, duplicate op keys, lane collisions, split
-//! degraded episodes, irregular intervals ([`StreamCounters`]). The
-//! proptests pin that when [`StreamCounters::violations`] is zero the
-//! merged report is byte-identical to the post-hoc one.
+//! silent*: late arrivals, lanes first seen after their stage's allreduce
+//! folded, duplicate op keys, malformed intervals ([`StreamCounters`]).
+//! The proptests pin that a finite window with zero
+//! [`StreamCounters::violations`] reproduces the unbounded report
+//! byte-for-byte.
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
@@ -46,13 +43,15 @@ use std::sync::{Arc, Mutex};
 use serde::Serialize;
 
 use crate::attrib::{finish_critical_path, ChainSummary, DowntimeAcc};
-use crate::bus::{allreduce_owner, EventSink};
+use crate::bus::EventSink;
 use crate::event::{Event, EventKind};
-use crate::profile::{assemble_report, BusyKind, LaneFold, LaneProfile, ProfileReport};
+use crate::profile::{
+    assemble_report, BusyKind, LaneFold, LaneProfile, ProfileReport, ProfileSpan,
+};
 
 const EPS: f64 = 1e-9;
 
-/// Tuning knobs for the streaming profiler.
+/// Configuration of the streaming profiler: the reorder window.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamConfig {
     /// Reorder window, seconds of stream time. A pending interval folds
@@ -61,49 +60,36 @@ pub struct StreamConfig {
     /// exact for *any* input order, at `O(events)` pending cost; any
     /// finite window larger than the stream's worst-case interval length
     /// plus reordering is exact for time-ordered streams and bounds the
-    /// pending buffer.
+    /// pending buffer. Critical-path predecessor summaries still
+    /// unconsumed four windows later are pruned (and counted), which
+    /// bounds the dependency table on endless streams.
     pub window_seconds: f64,
-    /// Hard cap on the pending buffer; the oldest entries are force-
-    /// folded (and counted) past it. `usize::MAX` disables.
-    pub max_pending: usize,
-    /// Horizon, seconds, after which unconsumed critical-path
-    /// predecessor summaries are pruned (and counted). Bounds the
-    /// dependency table on endless streams; `f64::INFINITY` disables.
-    pub prune_inflight_after: f64,
 }
 
 impl Default for StreamConfig {
     fn default() -> Self {
         StreamConfig {
             window_seconds: f64::INFINITY,
-            max_pending: usize::MAX,
-            prune_inflight_after: f64::INFINITY,
         }
     }
 }
 
 impl StreamConfig {
-    /// A bounded-memory configuration: reorder window of
-    /// `window_seconds`, pending cap scaled to it, and an inflight prune
-    /// horizon of four windows.
-    pub fn windowed(window_seconds: f64, max_pending: usize) -> Self {
-        StreamConfig {
-            window_seconds,
-            max_pending,
-            prune_inflight_after: window_seconds * 4.0,
-        }
+    /// Age, seconds, past which unconsumed predecessor summaries are
+    /// pruned: four windows (never, for the unbounded default).
+    fn prune_inflight_after(&self) -> f64 {
+        self.window_seconds * 4.0
     }
 }
 
 /// Accounting the streaming pass keeps about itself.
 ///
-/// `violations()` totals the conditions under which byte-identity with
-/// the post-hoc profiler is no longer guaranteed — the CI smoke gate
-/// pins it at zero.
+/// `violations()` totals the conditions under which a windowed fold is no
+/// longer guaranteed to match the unbounded one — the CI smoke gate pins
+/// it at zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct StreamCounters {
-    /// Events this shard owns (ghost broadcast copies excluded); merged
-    /// reports sum to the post-hoc `events` field.
+    /// Events observed.
     pub events: usize,
     /// Intervals that arrived after their window had already folded.
     pub late_events: usize,
@@ -111,18 +97,10 @@ pub struct StreamCounters {
     pub late_allreduce_lanes: usize,
     /// Duplicate `(stage, replica, op, micro)` op keys observed.
     pub dup_op_keys: usize,
-    /// Lane keys present on both sides of a merge (impossible under
-    /// canonical replica routing).
-    pub lane_collisions: usize,
-    /// Degraded episodes left open on both sides of a merge (control
-    /// events split across shards).
-    pub split_control: usize,
     /// Intervals with non-finite or negative-start bounds.
     pub irregular_intervals: usize,
-    /// Pending entries folded early by the `max_pending` cap.
-    pub force_folded: usize,
     /// Unconsumed predecessor summaries dropped by the prune horizon
-    /// (memory bound; identity still holds unless a pruned entry would
+    /// (memory bound; exactness still holds unless a pruned entry would
     /// have been referenced).
     pub pruned_inflight: usize,
     /// Peak pending-buffer size.
@@ -134,63 +112,66 @@ pub struct StreamCounters {
 }
 
 impl StreamCounters {
-    /// Conditions under which byte-identity with the post-hoc profiler
-    /// is no longer guaranteed.
+    /// Conditions under which a windowed fold is no longer guaranteed to
+    /// match the unbounded one.
     pub fn violations(&self) -> usize {
-        self.late_events
-            + self.late_allreduce_lanes
-            + self.dup_op_keys
-            + self.lane_collisions
-            + self.split_control
-            + self.irregular_intervals
-            + self.force_folded
-    }
-
-    fn absorb(&mut self, o: &StreamCounters) {
-        self.events += o.events;
-        self.late_events += o.late_events;
-        self.late_allreduce_lanes += o.late_allreduce_lanes;
-        self.dup_op_keys += o.dup_op_keys;
-        self.lane_collisions += o.lane_collisions;
-        self.split_control += o.split_control;
-        self.irregular_intervals += o.irregular_intervals;
-        self.force_folded += o.force_folded;
-        self.pruned_inflight += o.pruned_inflight;
-        self.peak_pending = self.peak_pending.max(o.peak_pending);
-        self.peak_inflight = self.peak_inflight.max(o.peak_inflight);
-        self.peak_resident = self.peak_resident.max(o.peak_resident);
+        self.late_events + self.late_allreduce_lanes + self.dup_op_keys + self.irregular_intervals
     }
 }
 
-/// `f64` with a total order, usable as a `BTreeMap` key.
+/// `f64` with a total order, usable in a sort key.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Tf64(f64);
 
 impl Eq for Tf64 {}
 
 impl PartialOrd for Tf64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for Tf64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+    fn cmp(&self, other: &Self) -> Ordering {
         self.0.total_cmp(&other.0)
     }
 }
 
-/// Pending-buffer key. The ordering — `(start, end, class, seq)` with
-/// data intervals (`class` 0) before allreduces (`class` 1) and `seq`
-/// preserving arrival order — reproduces exactly the post-hoc per-lane
-/// stable sort: intervals pushed in arrival order, allreduces appended
-/// after, stably sorted by `(start, end)`.
+/// Pending-buffer key. The ordering — `(start, end, class, seq)` — folds
+/// a lane's intervals by time, data intervals (`class` 0) before
+/// allreduces (`class` 1) at equal bounds, and in arrival order (`seq`)
+/// after that.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct PendKey {
     start: Tf64,
     end: Tf64,
     class: u8,
     seq: u64,
+}
+
+/// A pending interval. The heap orders it by key alone, smallest key
+/// on top (`BinaryHeap` is a max-heap, so the order is reversed).
+#[derive(Debug, Clone)]
+struct Pending(PendKey, Pend);
+
+impl PartialEq for Pending {
+    fn eq(&self, other: &Self) -> bool {
+        self.0 == other.0
+    }
+}
+
+impl Eq for Pending {}
+
+impl PartialOrd for Pending {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Pending {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.0.cmp(&self.0)
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -209,40 +190,23 @@ enum Pend {
     /// A blocked-send interval: lane fold only.
     Send { stage: usize, replica: usize },
     /// A per-stage allreduce: folds into every known lane of the stage
-    /// plus the stage's synthetic-lane candidate.
+    /// plus the stage's synthetic-lane candidate (all replicas take part
+    /// at once).
     Allreduce { stage: usize },
 }
 
 /// Per-lane streaming state: the shared cursor sweep plus the last op's
 /// chain summary (the lane-predecessor candidate for the next op).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct LaneState {
     fold: LaneFold,
     ops: usize,
     last_op: Option<ChainSummary>,
 }
 
-impl LaneState {
-    fn new() -> Self {
-        LaneState {
-            fold: LaneFold::default(),
-            ops: 0,
-            last_op: None,
-        }
-    }
-}
-
-/// The stage's synthetic replica-0 lane candidate, used at finish only
-/// if the stage ended up with no real lanes (matching the post-hoc
-/// behavior for allreduce-only stages).
-#[derive(Debug, Clone, PartialEq)]
-struct SynthLane {
-    fold: LaneFold,
-}
-
 /// The terminal candidate for the critical path: the last op to finish,
-/// ties broken toward the lowest `(stage, replica, micro)` — the same
-/// total order the post-hoc pass uses, hence order- and merge-invariant.
+/// ties broken toward the lowest `(stage, replica, micro)`, so the pick
+/// does not depend on fold order.
 #[derive(Debug, Clone, PartialEq)]
 struct Terminal {
     end: f64,
@@ -252,13 +216,11 @@ struct Terminal {
     chain: ChainSummary,
 }
 
-/// A mergeable shard of streaming profiler state.
+/// The streaming profiler's state over the events seen so far.
 ///
-/// `merge` is associative: folding any grouping of per-shard partials
-/// produces the same final [`ProfileReport`]. `report`/`into_report`
-/// close the stream at the current makespan, so every intermediate
-/// partial satisfies the same sum-to-makespan and downtime identities
-/// the post-hoc report does.
+/// `report`/`into_report` close the stream at the current makespan, so
+/// every intermediate partial satisfies the same sum-to-makespan and
+/// downtime identities the final report does.
 #[derive(Debug, Clone)]
 pub struct PartialReport {
     cfg: StreamConfig,
@@ -268,10 +230,13 @@ pub struct PartialReport {
     max_op_stage: usize,
     seq: u64,
     frontier: Option<PendKey>,
-    pending: BTreeMap<PendKey, Pend>,
+    pending: BinaryHeap<Pending>,
     lanes: BTreeMap<(usize, usize), LaneState>,
-    synth: BTreeMap<usize, SynthLane>,
-    folded_ars: BTreeMap<usize, usize>,
+    /// Per stage, the replica-0 lane an allreduce-only stage reports
+    /// (used at finish only if the stage has no real lanes).
+    synth: BTreeMap<usize, LaneFold>,
+    /// Stages with at least one folded allreduce.
+    folded_ars: BTreeSet<usize>,
     inflight: BTreeMap<(usize, usize, char, usize), ChainSummary>,
     prune_watermark: usize,
     terminal: Option<Terminal>,
@@ -291,10 +256,10 @@ impl PartialReport {
             max_op_stage: 0,
             seq: 0,
             frontier: None,
-            pending: BTreeMap::new(),
+            pending: BinaryHeap::new(),
             lanes: BTreeMap::new(),
             synth: BTreeMap::new(),
-            folded_ars: BTreeMap::new(),
+            folded_ars: BTreeSet::new(),
             inflight: BTreeMap::new(),
             prune_watermark: 64,
             terminal: None,
@@ -315,7 +280,7 @@ impl PartialReport {
         self.makespan
     }
 
-    /// Owned events consumed so far.
+    /// Events consumed so far.
     pub fn events(&self) -> usize {
         self.counters.events
     }
@@ -327,14 +292,10 @@ impl PartialReport {
     }
 
     fn touch_lane(&mut self, stage: usize, replica: usize) -> &mut LaneState {
-        if !self.lanes.contains_key(&(stage, replica))
-            && self.folded_ars.get(&stage).copied().unwrap_or(0) > 0
-        {
+        if !self.lanes.contains_key(&(stage, replica)) && self.folded_ars.contains(&stage) {
             self.counters.late_allreduce_lanes += 1;
         }
-        self.lanes
-            .entry((stage, replica))
-            .or_insert_with(LaneState::new)
+        self.lanes.entry((stage, replica)).or_default()
     }
 
     fn push_pend(&mut self, start: f64, end: f64, class: u8, pend: Pend) {
@@ -350,24 +311,7 @@ impl PartialReport {
                 self.counters.late_events += 1;
             }
         }
-        self.pending.insert(key, pend);
-    }
-
-    fn ingest_allreduce(&mut self, e: &Event) {
-        let EventKind::Allreduce { stage, seconds, .. } = &e.kind else {
-            return;
-        };
-        if e.t_sim.is_finite() {
-            self.makespan = self.makespan.max(e.t_sim);
-            self.high_water = self.high_water.max(e.t_sim);
-        }
-        let start = (e.t_sim - seconds).max(0.0);
-        let end = e.t_sim;
-        if !(start.is_finite() && end.is_finite()) {
-            self.counters.irregular_intervals += 1;
-            return;
-        }
-        self.push_pend(start, end, 1, Pend::Allreduce { stage: *stage });
+        self.pending.push(Pending(key, pend));
     }
 
     fn observe(&mut self, e: &Event) {
@@ -446,8 +390,17 @@ impl PartialReport {
                     );
                 }
             }
-            EventKind::Allreduce { .. } => {
-                self.ingest_allreduce(e);
+            EventKind::Allreduce { stage, seconds, .. } => {
+                if e.t_sim.is_finite() {
+                    self.makespan = self.makespan.max(e.t_sim);
+                    self.high_water = self.high_water.max(e.t_sim);
+                }
+                let start = (e.t_sim - seconds).max(0.0);
+                if !(start.is_finite() && e.t_sim.is_finite()) {
+                    self.counters.irregular_intervals += 1;
+                } else {
+                    self.push_pend(start, e.t_sim, 1, Pend::Allreduce { stage: *stage });
+                }
             }
             EventKind::Transfer {
                 from_stage,
@@ -475,40 +428,26 @@ impl PartialReport {
         self.advance();
     }
 
-    fn observe_ghost(&mut self, e: &Event) {
-        if matches!(e.kind, EventKind::Allreduce { .. }) {
-            self.ingest_allreduce(e);
-            self.advance();
-        }
-    }
-
-    /// Folds pending intervals whose window has passed and enforces the
-    /// pending cap, then updates peaks.
+    /// Folds pending intervals whose window has passed, then updates
+    /// peaks.
     fn advance(&mut self) {
         if self.cfg.window_seconds.is_finite() {
             let cut = self.high_water - self.cfg.window_seconds;
-            while self
-                .pending
-                .first_key_value()
-                .is_some_and(|(k, _)| k.start.0 <= cut)
-            {
-                let (k, p) = self.pending.pop_first().expect("checked non-empty");
+            while self.pending.peek().is_some_and(|p| p.0.start.0 <= cut) {
+                let Pending(k, p) = self.pending.pop().expect("checked non-empty");
                 self.fold_pend(k, p);
             }
-        }
-        while self.pending.len() > self.cfg.max_pending {
-            let (k, p) = self.pending.pop_first().expect("len > cap >= 0");
-            self.counters.force_folded += 1;
-            self.fold_pend(k, p);
         }
         self.counters.peak_pending = self.counters.peak_pending.max(self.pending.len());
         self.counters.peak_inflight = self.counters.peak_inflight.max(self.inflight.len());
         self.counters.peak_resident = self.counters.peak_resident.max(self.resident());
     }
 
-    /// Folds every pending interval (stream end / pre-merge barrier).
+    /// Folds every pending interval (stream end).
     fn seal(&mut self) {
-        while let Some((k, p)) = self.pending.pop_first() {
+        let mut all = std::mem::take(&mut self.pending).into_vec();
+        all.sort_unstable_by_key(|p| p.0);
+        for Pending(k, p) in all {
             self.fold_pend(k, p);
         }
         self.counters.peak_inflight = self.counters.peak_inflight.max(self.inflight.len());
@@ -530,9 +469,8 @@ impl PartialReport {
                     .lanes
                     .get_mut(&(stage, replica))
                     .expect("lane created at pend time");
-                lane.fold
-                    .push_clipped(key.start.0, key.end.0, kind, f64::INFINITY);
-                self.walk_op(crate::profile::ProfileSpan {
+                lane.fold.push(key.start.0, key.end.0, kind);
+                self.walk_op(ProfileSpan {
                     stage,
                     replica,
                     op,
@@ -546,8 +484,7 @@ impl PartialReport {
                     .lanes
                     .get_mut(&(stage, replica))
                     .expect("lane created at pend time");
-                lane.fold
-                    .push_clipped(key.start.0, key.end.0, BusyKind::Send, f64::INFINITY);
+                lane.fold.push(key.start.0, key.end.0, BusyKind::Send);
             }
             Pend::Allreduce { stage } => {
                 let keys: Vec<(usize, usize)> = self
@@ -560,25 +497,23 @@ impl PartialReport {
                         .get_mut(&k)
                         .expect("ranged key exists")
                         .fold
-                        .push_clipped(key.start.0, key.end.0, BusyKind::Allreduce, f64::INFINITY);
+                        .push(key.start.0, key.end.0, BusyKind::Allreduce);
                 }
-                self.synth
-                    .entry(stage)
-                    .or_insert_with(|| SynthLane {
-                        fold: LaneFold::default(),
-                    })
-                    .fold
-                    .push_clipped(key.start.0, key.end.0, BusyKind::Allreduce, f64::INFINITY);
-                *self.folded_ars.entry(stage).or_default() += 1;
+                self.synth.entry(stage).or_default().push(
+                    key.start.0,
+                    key.end.0,
+                    BusyKind::Allreduce,
+                );
+                self.folded_ars.insert(stage);
             }
         }
     }
 
-    /// One step of the incremental critical-path walk: bind the op to
-    /// its latest-finishing eligible predecessor (same candidate set,
-    /// filter, and tie-break as the post-hoc backward walk) and extend
-    /// that predecessor's chain summary.
-    fn walk_op(&mut self, s: crate::profile::ProfileSpan) {
+    /// One step of the incremental critical path: bind the op to its
+    /// latest-finishing predecessor that ended by its start (ties break
+    /// toward the lowest `(stage, replica)`) and extend that
+    /// predecessor's chain summary; an op with none starts a new chain.
+    fn walk_op(&mut self, s: ProfileSpan) {
         // Consume-on-lookup: each F/B key has exactly one possible
         // dependent (this op), so the entry is dead after this lookup
         // whether or not it wins.
@@ -656,9 +591,9 @@ impl PartialReport {
         // Amortized prune of never-consumed predecessors (last-stage
         // forwards, truncated streams) — the dependency table's memory
         // bound on endless streams.
-        if self.cfg.prune_inflight_after.is_finite() && self.inflight.len() >= self.prune_watermark
-        {
-            let cutoff = s.start - self.cfg.prune_inflight_after;
+        let horizon = self.cfg.prune_inflight_after();
+        if horizon.is_finite() && self.inflight.len() >= self.prune_watermark {
+            let cutoff = s.start - horizon;
             let before = self.inflight.len();
             self.inflight.retain(|_, c| c.end >= cutoff);
             self.counters.pruned_inflight += before - self.inflight.len();
@@ -666,157 +601,24 @@ impl PartialReport {
         }
     }
 
-    /// Merges two shards. Associative: any fold order over a set of
-    /// shards yields the same finished report. Both sides' pending
-    /// buffers are sealed first (safe because every lane's intervals
-    /// live entirely on one shard, so each side folds its own lanes in
-    /// their full sorted order).
-    pub fn merge(mut self, mut other: PartialReport) -> PartialReport {
-        self.seal();
-        other.seal();
-
-        self.makespan = self.makespan.max(other.makespan);
-        self.pipeline_end = self.pipeline_end.max(other.pipeline_end);
-        self.high_water = self.high_water.max(other.high_water);
-        self.max_op_stage = self.max_op_stage.max(other.max_op_stage);
-        self.seq += other.seq;
-        self.frontier = match (self.frontier, other.frontier) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-        self.transfer_seconds += other.transfer_seconds;
-        for (k, v) in other.transfer_out {
-            *self.transfer_out.entry(k).or_default() += v;
-        }
-
-        for (k, ls) in other.lanes {
-            match self.lanes.entry(k) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(ls);
-                }
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    // Impossible under canonical routing; counted and
-                    // merged numerically so nothing is silently lost.
-                    self.counters.lane_collisions += 1;
-                    let mine = e.get_mut();
-                    mine.ops += ls.ops;
-                    mine.fold.forward += ls.fold.forward;
-                    mine.fold.recompute += ls.fold.recompute;
-                    mine.fold.backward += ls.fold.backward;
-                    mine.fold.send += ls.fold.send;
-                    mine.fold.allreduce += ls.fold.allreduce;
-                    mine.fold.warmup += ls.fold.warmup;
-                    mine.fold.stall += ls.fold.stall;
-                    mine.fold.cursor = mine.fold.cursor.max(ls.fold.cursor);
-                    mine.fold.pushes += ls.fold.pushes;
-                    mine.fold.first = mine.fold.first && ls.fold.first;
-                    if match (&mine.last_op, &ls.last_op) {
-                        (None, Some(_)) => true,
-                        (Some(a), Some(b)) => b.end > a.end,
-                        _ => false,
-                    } {
-                        mine.last_op = ls.last_op;
-                    }
-                }
-            }
-        }
-
-        // Every shard that saw a stage's allreduces built the same
-        // synthetic candidate; keep the more complete one (left-biased),
-        // which is associative because equal push-counts are identical.
-        for (stage, sy) in other.synth {
-            match self.synth.entry(stage) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(sy);
-                }
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    if sy.fold.pushes > e.get().fold.pushes {
-                        *e.get_mut() = sy;
-                    }
-                }
-            }
-        }
-        for (stage, n) in other.folded_ars {
-            let mine = self.folded_ars.entry(stage).or_default();
-            *mine = (*mine).max(n);
-        }
-
-        for (k, c) in other.inflight {
-            if self.inflight.insert(k, c).is_some() {
-                self.counters.dup_op_keys += 1;
-            }
-        }
-
-        self.terminal = match (self.terminal.take(), other.terminal) {
-            (None, t) => t,
-            (t, None) => t,
-            (Some(a), Some(b)) => Some(
-                if b.end > a.end
-                    || (b.end == a.end
-                        && (b.stage, b.replica, b.micro) < (a.stage, a.replica, a.micro))
-                {
-                    b
-                } else {
-                    a
-                },
-            ),
-        };
-
-        // Downtime: field-wise add (non-owning shards contribute exact
-        // zeros under canonical routing).
-        {
-            let d = &mut self.downtime.d;
-            let o = other.downtime.d;
-            d.morphs += o.morphs;
-            d.reconfigurations += o.reconfigurations;
-            d.migrations += o.migrations;
-            d.checkpoints += o.checkpoints;
-            d.delta_checkpoints += o.delta_checkpoints;
-            d.checkpoint_write_failures += o.checkpoint_write_failures;
-            d.checkpoints_torn += o.checkpoints_torn;
-            d.recovery_replays += o.recovery_replays;
-            d.preemptions += o.preemptions;
-            d.degraded_episodes += o.degraded_episodes;
-            d.faults_injected += o.faults_injected;
-            d.lost_minibatches += o.lost_minibatches;
-            d.degraded_seconds += o.degraded_seconds;
-            d.morph_restart_seconds += o.morph_restart_seconds;
-            d.migration_seconds += o.migration_seconds;
-            d.checkpoint_write_seconds += o.checkpoint_write_seconds;
-            d.checkpoint_overlapped_seconds += o.checkpoint_overlapped_seconds;
-            d.lost_work_seconds += o.lost_work_seconds;
-            d.recovery_replay_seconds += o.recovery_replay_seconds;
-            self.downtime.open_degraded =
-                match (self.downtime.open_degraded, other.downtime.open_degraded) {
-                    (Some(x), Some(y)) => {
-                        self.counters.split_control += 1;
-                        Some(x.max(y))
-                    }
-                    (x, y) => x.or(y),
-                };
-        }
-
-        self.counters.absorb(&other.counters);
-        self
-    }
-
     /// Closes the stream at the current makespan and produces the full
-    /// report. Byte-identical to `profile(&events)` over the same events
-    /// whenever [`StreamCounters::violations`] is zero.
+    /// report. For a finite window, byte-identical to `profile(&events)`
+    /// over the same events whenever [`StreamCounters::violations`] is
+    /// zero.
     pub fn into_report(mut self) -> ProfileReport {
         self.seal();
         let makespan = self.makespan;
 
         // Real lanes, plus each allreduce-only stage's synthetic
-        // replica-0 lane (post-hoc parity).
+        // replica-0 lane, so its allreduce time is still visible.
         let mut all: BTreeMap<(usize, usize), (LaneFold, usize)> = self
             .lanes
             .into_iter()
             .map(|(k, ls)| (k, (ls.fold, ls.ops)))
             .collect();
-        for (stage, sy) in self.synth {
+        for (stage, fold) in self.synth {
             if all.range((stage, 0)..(stage + 1, 0)).next().is_none() {
-                all.insert((stage, 0), (sy.fold, 0));
+                all.insert((stage, 0), (fold, 0));
             }
         }
         let lanes: Vec<LaneProfile> = all
@@ -847,13 +649,11 @@ impl PartialReport {
     }
 }
 
-/// Incremental profiler over one event stream (one shard).
+/// Incremental profiler over one event stream.
 ///
-/// Feed events with [`observe`](StreamingProfiler::observe) (or
-/// [`observe_ghost`](StreamingProfiler::observe_ghost) for broadcast
-/// copies this shard does not own), then take the [`PartialReport`] and
-/// merge it with the other shards'. A single profiler observing the full
-/// stream reproduces the post-hoc report exactly.
+/// Feed events with [`observe`](StreamingProfiler::observe), then close
+/// the [`PartialReport`] into a report; [`profile`](crate::profile()) is
+/// exactly that with the default (unbounded) configuration.
 #[derive(Debug, Clone)]
 pub struct StreamingProfiler {
     part: PartialReport,
@@ -873,16 +673,9 @@ impl StreamingProfiler {
         }
     }
 
-    /// Consumes one owned event.
+    /// Consumes one event.
     pub fn observe(&mut self, e: &Event) {
         self.part.observe(e);
-    }
-
-    /// Consumes a broadcast (allreduce) event this shard does *not* own:
-    /// the interval still attributes to this shard's lanes, but the
-    /// event is not counted (the owning shard counts it once).
-    pub fn observe_ghost(&mut self, e: &Event) {
-        self.part.observe_ghost(e);
     }
 
     /// Resident state entries — bounded by the window, not the stream.
@@ -895,12 +688,12 @@ impl StreamingProfiler {
         self.part.counters()
     }
 
-    /// Clones the current state as a mergeable partial.
+    /// Clones the current state.
     pub fn snapshot(&self) -> PartialReport {
         self.part.clone()
     }
 
-    /// Consumes the profiler, yielding its partial.
+    /// Consumes the profiler, yielding its state.
     pub fn into_partial(self) -> PartialReport {
         self.part
     }
@@ -912,54 +705,29 @@ impl StreamingProfiler {
 }
 
 /// An [`EventSink`] wrapping a shared [`StreamingProfiler`] — clone it
-/// before boxing into a bus (or a [`ShardedSink`](crate::ShardedSink)
-/// shard), then read the partial back through the clone.
-///
-/// Constructed with [`StreamSink::for_shard`], it resolves broadcast
-/// ownership itself: allreduces whose [`allreduce_owner`] is another
-/// shard are observed as ghosts.
+/// before boxing into a bus, then read the state back through the clone.
 #[derive(Debug, Clone)]
 pub struct StreamSink {
     inner: Arc<Mutex<StreamingProfiler>>,
     cfg: StreamConfig,
-    shard: usize,
-    shards: usize,
 }
 
 impl StreamSink {
-    /// A single-shard (full-stream) streaming sink.
+    /// A streaming sink with the given configuration.
     pub fn new(cfg: StreamConfig) -> Self {
-        StreamSink::for_shard(0, 1, cfg)
-    }
-
-    /// The sink for shard `shard` of `shards`.
-    pub fn for_shard(shard: usize, shards: usize, cfg: StreamConfig) -> Self {
-        assert!(shard < shards, "shard index out of range");
         StreamSink {
             inner: Arc::new(Mutex::new(StreamingProfiler::new(cfg))),
             cfg,
-            shard,
-            shards,
         }
     }
 
-    /// Takes the accumulated partial, leaving a fresh profiler behind.
+    /// Takes the accumulated state, leaving a fresh profiler behind.
     pub fn take_partial(&self) -> PartialReport {
         std::mem::replace(
             &mut *self.inner.lock().expect("stream sink lock"),
             StreamingProfiler::new(self.cfg),
         )
         .into_partial()
-    }
-
-    /// Clones the current partial without draining.
-    pub fn snapshot(&self) -> PartialReport {
-        self.inner.lock().expect("stream sink lock").snapshot()
-    }
-
-    /// Current resident-state entries.
-    pub fn resident(&self) -> usize {
-        self.inner.lock().expect("stream sink lock").resident()
     }
 }
 
@@ -971,26 +739,8 @@ impl Default for StreamSink {
 
 impl EventSink for StreamSink {
     fn record(&mut self, event: &Event) {
-        let mut p = self.inner.lock().expect("stream sink lock");
-        match &event.kind {
-            EventKind::Allreduce { stage, .. } => {
-                if allreduce_owner(*stage, self.shards) == self.shard {
-                    p.observe(event);
-                } else {
-                    p.observe_ghost(event);
-                }
-            }
-            _ => p.observe(event),
-        }
+        self.inner.lock().expect("stream sink lock").observe(event);
     }
-}
-
-/// Merges per-shard partials in shard order (a convenience left fold —
-/// any grouping gives the same report).
-pub fn merge_partials(parts: Vec<PartialReport>) -> Option<PartialReport> {
-    let mut it = parts.into_iter();
-    let first = it.next()?;
-    Some(it.fold(first, PartialReport::merge))
 }
 
 /// Spawns the live HTTP surface: a std-only `TcpListener` serving the
@@ -1083,185 +833,6 @@ mod tests {
         )
     }
 
-    fn stream_all(events: &[Event]) -> ProfileReport {
-        let mut p = StreamingProfiler::default();
-        for e in events {
-            p.observe(e);
-        }
-        p.into_partial().into_report()
-    }
-
-    #[test]
-    fn empty_stream_matches_posthoc() {
-        assert_eq!(stream_all(&[]).to_json(), profile(&[]).to_json());
-    }
-
-    #[test]
-    fn simple_pipeline_matches_posthoc_bytes() {
-        let events = vec![
-            op(0, 0, 'F', 0, 0.0, 1.0),
-            op(0, 0, 'F', 1, 1.0, 2.0),
-            op(1, 0, 'F', 0, 1.5, 2.5),
-            op(1, 0, 'B', 0, 2.5, 4.5),
-            op(0, 0, 'B', 0, 5.0, 7.0),
-        ];
-        assert_eq!(stream_all(&events).to_json(), profile(&events).to_json());
-    }
-
-    #[test]
-    fn sends_allreduces_and_control_match_posthoc_bytes() {
-        let events = vec![
-            op(0, 0, 'F', 0, 0.0, 1.0),
-            Event::exec(
-                1.0,
-                EventKind::SendBusy {
-                    stage: 0,
-                    replica: 0,
-                    micro: 0,
-                    seconds: 0.5,
-                },
-            ),
-            Event::exec(
-                1.2,
-                EventKind::Transfer {
-                    from_stage: 0,
-                    to_stage: 1,
-                    replica: 0,
-                    micro: 0,
-                    bytes: 1e6,
-                    seconds: 0.125,
-                },
-            ),
-            op(1, 0, 'F', 0, 1.625, 2.625),
-            op(1, 0, 'B', 0, 2.625, 3.625),
-            op(0, 0, 'B', 0, 4.0, 5.0),
-            Event::exec(
-                5.5,
-                EventKind::Allreduce {
-                    stage: 0,
-                    bytes: 1e9,
-                    ring: 2,
-                    seconds: 0.5,
-                },
-            ),
-            Event::exec(
-                5.75,
-                EventKind::Allreduce {
-                    stage: 1,
-                    bytes: 1e9,
-                    ring: 2,
-                    seconds: 0.25,
-                },
-            ),
-            Event::manager(
-                6.0,
-                EventKind::LostWork {
-                    minibatches: 1,
-                    seconds: 0.5,
-                },
-            ),
-        ];
-        let streamed = stream_all(&events);
-        assert_eq!(streamed.to_json(), profile(&events).to_json());
-    }
-
-    #[test]
-    fn allreduce_only_stage_gets_a_synthetic_lane() {
-        let events = vec![Event::exec(
-            2.0,
-            EventKind::Allreduce {
-                stage: 3,
-                bytes: 1e9,
-                ring: 4,
-                seconds: 0.5,
-            },
-        )];
-        let streamed = stream_all(&events);
-        assert_eq!(streamed.to_json(), profile(&events).to_json());
-        assert_eq!(streamed.lanes.len(), 1);
-        assert_eq!((streamed.lanes[0].stage, streamed.lanes[0].replica), (3, 0));
-    }
-
-    #[test]
-    fn sharded_merge_matches_posthoc_bytes() {
-        let mut events = Vec::new();
-        for r in 0..3usize {
-            for m in 0..4usize {
-                let t0 = m as f64 + r as f64 * 0.125;
-                events.push(op(0, r, 'F', m, t0, t0 + 0.5));
-                events.push(op(1, r, 'F', m, t0 + 0.5, t0 + 1.0));
-                events.push(op(1, r, 'B', m, t0 + 1.0, t0 + 1.5));
-                events.push(op(0, r, 'B', m, t0 + 1.5, t0 + 2.0));
-            }
-        }
-        events.push(Event::exec(
-            8.0,
-            EventKind::Allreduce {
-                stage: 0,
-                bytes: 1e9,
-                ring: 3,
-                seconds: 0.5,
-            },
-        ));
-        events.push(Event::exec(
-            8.25,
-            EventKind::Allreduce {
-                stage: 1,
-                bytes: 1e9,
-                ring: 3,
-                seconds: 0.25,
-            },
-        ));
-        events.push(Event::manager(
-            9.0,
-            EventKind::DegradedEnter {
-                gpus: 0,
-                reason: "spot crunch".into(),
-            },
-        ));
-
-        for shards in [1usize, 2, 3, 5] {
-            let mut sinks: Vec<StreamSink> = (0..shards)
-                .map(|k| StreamSink::for_shard(k, shards, StreamConfig::default()))
-                .collect();
-            for e in &events {
-                match crate::bus::shard_route(e, shards) {
-                    crate::bus::ShardRoute::One(k) => sinks[k].record(e),
-                    crate::bus::ShardRoute::Broadcast => {
-                        for s in &mut sinks {
-                            s.record(e);
-                        }
-                    }
-                }
-            }
-            let parts: Vec<PartialReport> = sinks.iter().map(|s| s.take_partial()).collect();
-            let merged = merge_partials(parts).unwrap();
-            assert_eq!(merged.counters().violations(), 0, "shards={shards}");
-            assert_eq!(
-                merged.into_report().to_json(),
-                profile(&events).to_json(),
-                "shards={shards}"
-            );
-        }
-    }
-
-    #[test]
-    fn merge_is_associative_on_the_report() {
-        let mk = |r: usize| {
-            let mut p = StreamingProfiler::default();
-            for m in 0..3usize {
-                let t0 = m as f64;
-                p.observe(&op(0, r, 'F', m, t0, t0 + 0.5));
-                p.observe(&op(0, r, 'B', m, t0 + 0.5, t0 + 1.0));
-            }
-            p.into_partial()
-        };
-        let (a, b, c) = (mk(0), mk(1), mk(2));
-        let left = a.clone().merge(b.clone()).merge(c.clone());
-        let right = a.merge(b.merge(c));
-        assert_eq!(left.into_report().to_json(), right.into_report().to_json());
-    }
-
     #[test]
     fn finite_window_bounds_pending_and_stays_exact_on_ordered_streams() {
         let mut events = Vec::new();
@@ -1269,7 +840,9 @@ mod tests {
             let t0 = m as f64 * 0.5;
             events.push(op(0, 0, 'F', m, t0, t0 + 0.25));
         }
-        let mut p = StreamingProfiler::new(StreamConfig::windowed(2.0, usize::MAX));
+        let mut p = StreamingProfiler::new(StreamConfig {
+            window_seconds: 2.0,
+        });
         for e in &events {
             p.observe(e);
         }
@@ -1311,7 +884,9 @@ mod tests {
 
     #[test]
     fn late_events_are_counted_not_silent() {
-        let mut p = StreamingProfiler::new(StreamConfig::windowed(1.0, usize::MAX));
+        let mut p = StreamingProfiler::new(StreamConfig {
+            window_seconds: 1.0,
+        });
         p.observe(&op(0, 0, 'F', 0, 0.0, 0.5));
         p.observe(&op(0, 0, 'F', 1, 5.0, 5.5)); // folds the first
         p.observe(&op(0, 0, 'F', 2, 10.0, 10.5)); // folds the second

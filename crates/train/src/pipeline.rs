@@ -22,7 +22,7 @@
 //! — the schedule-invariance the paper's correctness-preserving morphing
 //! depends on — verified by the equivalence tests below.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use varuna_obs::{Event, EventBus, EventKind};
 use varuna_sched::{GreedyPolicy, Op, OpKind, PolicyFactory, SchedulePolicy, StageView};
 
@@ -438,15 +438,16 @@ impl PipelineTrainer {
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for (r, (replica, pols)) in self.parts.iter_mut().zip(&mut policies).enumerate() {
-                // One merged message channel per stage; each neighbor
-                // holds a sender clone (acts flow down, grads flow up).
-                let chans: Vec<(Sender<StageMsg>, Receiver<StageMsg>)> =
-                    (0..p).map(|_| unbounded()).collect();
+                // One merged message channel per stage: the stage's
+                // thread owns the receiver, and each neighbor holds a
+                // sender clone (acts flow down, grads flow up).
+                let (txs, rxs): (Vec<Sender<StageMsg>>, Vec<Receiver<StageMsg>>) =
+                    (0..p).map(|_| channel()).unzip();
                 let rep_lo = r * n_micro * micro * seq;
-                for (s, (part, policy)) in replica.iter_mut().zip(pols.drain(..)).enumerate() {
-                    let rx = chans[s].1.clone();
-                    let act_tx = (s + 1 < p).then(|| chans[s + 1].0.clone());
-                    let grad_tx = (s > 0).then(|| chans[s - 1].0.clone());
+                let stages = replica.iter_mut().zip(pols.drain(..)).zip(rxs);
+                for (s, ((part, policy), rx)) in stages.enumerate() {
+                    let act_tx = (s + 1 < p).then(|| txs[s + 1].clone());
+                    let grad_tx = (s > 0).then(|| txs[s - 1].clone());
                     let tokens = &tokens;
                     let targets = &targets;
                     handles.push((
@@ -471,7 +472,7 @@ impl PipelineTrainer {
                         }),
                     ));
                 }
-                // `chans` drops here, leaving only the neighbor-held
+                // `txs` drops here, leaving only the neighbor-held
                 // sender clones: a stage that idles with no live senders
                 // panics instead of hanging.
             }
